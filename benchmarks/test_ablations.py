@@ -58,7 +58,14 @@ def test_side_buffer_depth(benchmark):
     from repro import VorxSystem
 
     def run_with(buffers):
-        costs = dataclasses.replace(DEFAULT_COSTS, chan_side_buffers=buffers)
+        # The batched window may not exceed the side buffers (CostModel
+        # rejects that); 256 B writes never batch, so this stays a pure
+        # side-buffer sweep.
+        costs = dataclasses.replace(
+            DEFAULT_COSTS,
+            chan_side_buffers=buffers,
+            chan_batch_window=min(DEFAULT_COSTS.chan_batch_window, buffers),
+        )
         system = VorxSystem(n_nodes=2, costs=costs)
         state = {}
 

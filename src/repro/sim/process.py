@@ -135,6 +135,10 @@ class Process(Event):
                     event.defuse()
                     next_event = self._throw(event._value)
             except StopIteration as stop:
+                # Drop the bound-method caches: ``_wake`` refers back to
+                # this process, and a finished process must be freed by
+                # refcount, not left to the cycle collector.
+                self._wake = self._send = self._throw = None
                 # ``succeed`` inlined: ``is_alive`` was checked on entry,
                 # so this process event is still pending here.
                 self._ok = True
@@ -144,6 +148,7 @@ class Process(Event):
                 sim._seq += 1
                 return
             except BaseException as exc:
+                self._wake = self._send = self._throw = None
                 self.fail(exc)
                 return
 
@@ -158,6 +163,7 @@ class Process(Event):
                     f"process {self.name!r} yielded a non-event: "
                     f"{next_event!r} (missing `yield from`?)"
                 )
+                self._wake = self._send = self._throw = None
                 self.fail(error)
                 return
 

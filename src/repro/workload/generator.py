@@ -107,10 +107,15 @@ class _RouterHub:
     (not per run) is what makes repeated runs on a *shared* fabric
     instance safe -- two runs never race each other for the same
     endpoint's receive stream.
+
+    The hub holds no reference to its fabric: it is the value of a
+    weak-keyed map keyed by that fabric, so a strong back-reference
+    would keep every fabric alive forever.  The router and serve
+    generators take the fabric as an argument instead; their frames
+    live inside the fabric's own object graph and die with it.
     """
 
-    def __init__(self, fabric: "FabricBackend") -> None:
-        self.fabric = fabric
+    def __init__(self) -> None:
         self.pending: dict[int, _Pending] = {}
         self.covered: set[int] = set()
         #: Monotone rid namespace offset so runs sharing the fabric
@@ -118,15 +123,15 @@ class _RouterHub:
         self.next_rid_base = 0
         self._completions: dict[int, object] = {}
 
-    def ensure_routers(self, addresses: Sequence[int]) -> None:
-        sim = self.fabric.sim
+    def ensure_routers(self, fabric: "FabricBackend",
+                       addresses: Sequence[int]) -> None:
+        sim = fabric.sim
         for address in addresses:
             if address not in self.covered:
                 self.covered.add(address)
-                sim.process(self._router(address))
+                sim.process(self._router(fabric, address))
 
-    def _router(self, address: int):
-        fabric = self.fabric
+    def _router(self, fabric: "FabricBackend", address: int):
         while True:
             packet = yield from fabric.recv(address)
             payload = packet.payload
@@ -136,7 +141,7 @@ class _RouterHub:
             if tag == _REQ:
                 _, rid, reply_to, reply_bytes, service_us = payload
                 fabric.sim.process(
-                    self._serve(address, reply_to, reply_bytes,
+                    self._serve(fabric, address, reply_to, reply_bytes,
                                 service_us, rid)
                 )
             elif tag == _REP:
@@ -149,15 +154,16 @@ class _RouterHub:
                         if observer is not None:
                             observer(payload[1], entry)
 
-    def _serve(self, address: int, reply_to: int, reply_bytes: int,
-               service_us: float, rid: int):
+    @staticmethod
+    def _serve(fabric: "FabricBackend", address: int, reply_to: int,
+               reply_bytes: int, service_us: float, rid: int):
         if service_us > 0:
-            yield self.fabric.sim.timeout(service_us)
+            yield fabric.sim.timeout(service_us)
         packet = Packet(
             src=address, dst=reply_to, size=reply_bytes,
             kind=MessageKind.USER_OBJECT, payload=(_REP, rid),
         )
-        yield from self.fabric.send(address, packet)
+        yield from fabric.send(address, packet)
 
     def register(self, rid: int, entry: _Pending, observer) -> None:
         self.pending[rid] = entry
@@ -208,7 +214,7 @@ _HUBS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def _hub_for(fabric: "FabricBackend") -> _RouterHub:
     hub = _HUBS.get(fabric)
     if hub is None:
-        hub = _RouterHub(fabric)
+        hub = _RouterHub()
         _HUBS[fabric] = hub
     return hub
 
@@ -520,7 +526,7 @@ class Workload:
         )
 
         hub = _hub_for(fabric)
-        hub.ensure_routers(addresses)
+        hub.ensure_routers(fabric, addresses)
         rid_base = hub.next_rid_base
         hub.next_rid_base += len(records)
 

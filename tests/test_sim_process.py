@@ -1,5 +1,8 @@
 """Unit tests for generator processes: waiting, composition, interruption."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Simulator, Interrupt
@@ -77,6 +80,29 @@ def test_waiting_on_finished_process_resumes_immediately():
     sim.process(parent(c))
     sim.run()
     assert log == [(5.0, "v")]
+
+
+def test_finished_process_is_freed_by_refcount():
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(1.0)
+        return "done"
+
+    generator = proc()
+    ref = weakref.ref(generator)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim.process(generator)
+        del generator
+        sim.run()
+        # The process (and with it the generator it wraps) was dropped
+        # by the caller and is gone without a cycle collection.
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_yield_non_event_fails_process():

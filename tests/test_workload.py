@@ -1,5 +1,9 @@
 """Tests for repro.workload: arrivals, planning, runs, trace replay."""
 
+import gc
+import tracemalloc
+import weakref
+
 import pytest
 
 from repro import (
@@ -147,3 +151,50 @@ def test_workload_needs_exactly_one_source():
         Workload()
     with pytest.raises(ValueError, match="exactly one"):
         Workload(arrivals=PoissonArrivals(rate_per_s=1), trace=[])
+
+
+# ----------------------------------------------------------------------
+# memory lifetime
+# ----------------------------------------------------------------------
+def _lifetime_workload():
+    return Workload(arrivals=PoissonArrivals(rate_per_s=20000),
+                    n_requests=50, fanout=(1, 3))
+
+
+def test_fabric_dies_after_workload_run():
+    # The per-fabric router hub must not keep its fabric alive.
+    fabric = _fresh_fabric()
+    _lifetime_workload().run(fabric, seed=1)
+    ref = weakref.ref(fabric)
+    del fabric
+    gc.collect()
+    assert ref() is None
+
+
+def test_workload_run_leaves_no_cyclic_garbage():
+    # Finished request, serve and injector processes are freed by
+    # refcount: a warmed-up fabric's second run leaves nothing for the
+    # cycle collector.
+    fabric = _fresh_fabric(n=64)
+    wl = _lifetime_workload()
+    wl.run(fabric, seed=1)
+    gc.collect()
+    result = wl.run(fabric, seed=2)
+    assert result.completed == result.offered
+    assert gc.collect() == 0
+
+
+def test_repeated_runs_on_fresh_fabrics_keep_live_memory_bounded():
+    wl = _lifetime_workload()
+    live = []
+    tracemalloc.start()
+    try:
+        for seed in range(12):
+            wl.run(_fresh_fabric(n=64), seed=seed)
+            gc.collect()
+            live.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    # A leaked hypercube/64 fabric holds ~2 MB, so ten more runs that
+    # each leaked one would grow live memory by ~20 MB.
+    assert live[-1] <= 2 * live[1] + 256 * 1024, live
