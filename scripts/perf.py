@@ -30,7 +30,7 @@ Workloads
 ``cancel_churn``
     Pure engine: watchdog timers cancelled and re-armed on every tick
     (the ``call_later().cancel()`` retransmission-timer pattern).
-    Exercises the flat queue's push path, lazy cancellation and
+    Exercises the event heap's push path, lazy cancellation and
     compaction; almost no scheduled callback ever fires.
 ``hypercube_1024``
     Boot the [Katseff 88] incomplete hypercube at 1024 endpoints (256

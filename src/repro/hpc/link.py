@@ -114,39 +114,7 @@ class Link:
         m_busy = self._m_busy
         m_messages = self._m_messages
         m_bytes = self._m_bytes
-        coalesce = self.costs.link_coalesce_wakeups
-        credits = downstream.credits
         while True:
-            if coalesce and sim.faults is None:
-                # Coalesced wakeup: when a request is queued *and* a
-                # downstream buffer is free, take both in one engine
-                # event instead of the get/reserve wakeup pair.  Gated
-                # off under fault plans (the injector must see the
-                # packet before the buffer is reserved) and off by
-                # default: fusing changes event ordering, so it is not
-                # golden-safe.
-                fused = requests.get_with(credits)
-                if fused is not None:
-                    packet, done = yield fused
-                    depth = len(request_items)
-                    m_queue.value = depth
-                    if depth > m_queue.max_value:
-                        m_queue.max_value = depth
-                    size = packet.size
-                    wire = wire_time(size) + hop_latency
-                    yield sim.timeout(wire)
-                    m_busy.value += wire
-                    m_messages.value += 1.0
-                    m_bytes.value += size
-                    packet.hops += 1
-                    downstream.deliver(packet)
-                    # ``Event.succeed`` inlined: the request's done event
-                    # is triggered only here on this path.
-                    done._ok = True
-                    done._value = None
-                    sim._imm_normal.append((sim._now, sim._seq, done))
-                    sim._seq += 1
-                    continue
             packet, done = yield requests.get()
             depth = len(request_items)
             m_queue.value = depth
@@ -181,13 +149,7 @@ class Link:
                 # Hardware flow control: wait for a whole-message buffer
                 # downstream before occupying the wire.
                 stall_from = sim._now
-                if coalesce and injector is None and credits.try_acquire():
-                    # Coalesced wakeup, common case: a buffer is free, so
-                    # the reservation is satisfied synchronously -- no
-                    # acquire event, no extra generator resume.
-                    pass
-                else:
-                    yield downstream.reserve()
+                yield downstream.reserve()
                 stalled = sim._now - stall_from
                 if stalled > 0:
                     self.metrics.counter("link.reserve_stalls").inc()
@@ -205,7 +167,8 @@ class Link:
                 packet.hops += 1
                 downstream.deliver(packet)
                 if copy == 0:
-                    # ``Event.succeed`` inlined, as in the fused path.
+                    # ``Event.succeed`` inlined: nothing else triggers the
+                    # request's done event on this path.
                     done._ok = True
                     done._value = None
                     sim._imm_normal.append((sim._now, sim._seq, done))

@@ -45,8 +45,19 @@ Table 1 / Table 2 shapes reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 
 from repro.model.units import mbit_per_sec_to_us_per_byte
+
+#: Float fields that are ratios, not times: :meth:`CostModel.scaled`
+#: leaves them alone and ``__post_init__`` validates each on its own.
+_DIMENSIONLESS = frozenset({
+    "chan_window_ai",
+    "chan_window_md",
+    "chan_rtt_alpha",
+    "chan_rtt_inflation",
+    "chan_pressure_threshold",
+})
 
 
 @dataclass(frozen=True)
@@ -186,18 +197,6 @@ class CostModel:
     chan_pressure_threshold: float = 0.75
 
     # ------------------------------------------------------------------
-    # Engine-level wakeup coalescing (simulation optimisation, no
-    # simulated-time effect beyond event ordering)
-    # ------------------------------------------------------------------
-    #: When True, a link pump whose next request *and* downstream buffer
-    #: credit are both immediately available consumes them synchronously
-    #: -- one engine event per hop instead of three.  Off by default: the
-    #: coalesced schedule is observably equivalent but not bit-identical
-    #: in ``(time, priority, seq)`` order, and the determinism goldens pin
-    #: the uncoalesced order.
-    link_coalesce_wakeups: bool = False
-
-    # ------------------------------------------------------------------
     # User-defined communications objects (Section 4.1)
     # ------------------------------------------------------------------
     #: Application writing the device registers directly to launch a
@@ -280,6 +279,12 @@ class CostModel:
     # Validation
     # ------------------------------------------------------------------
     def __post_init__(self) -> None:
+        for name in _TIME_FIELDS:
+            value = getattr(self, name)
+            if not 0.0 <= value < inf:  # also rejects NaN
+                raise ValueError(
+                    f"{name} must be a finite time >= 0, got {value}"
+                )
         if self.chan_batch_window < 1:
             raise ValueError(
                 f"chan_batch_window must be >= 1, got {self.chan_batch_window}"
@@ -348,15 +353,12 @@ class CostModel:
             + self.snet_us_per_byte * (payload_bytes + self.snet_header_bytes)
         )
 
-    def batched(
-        self, window: int = 8, coalesce_wakeups: bool = True
-    ) -> "CostModel":
+    def batched(self, window: int = 8) -> "CostModel":
         """A model with the batched large-write path enabled.
 
         ``window`` is the number of in-flight fragments a large write may
-        pipeline (:attr:`chan_batch_window`); ``coalesce_wakeups`` also
-        turns on the engine-level link-pump wakeup coalescing.  All
-        calibrated timing constants are unchanged.
+        pipeline (:attr:`chan_batch_window`).  All calibrated timing
+        constants are unchanged.
         """
         if window < 1:
             raise ValueError(f"batch window must be >= 1, got {window}")
@@ -364,21 +366,14 @@ class CostModel:
             self,
             chan_batch_window=window,
             chan_window_adaptive=False,
-            link_coalesce_wakeups=coalesce_wakeups,
         )
 
     def unbatched(self) -> "CostModel":
         """The paper-faithful stop-and-wait model (one in-flight fragment).
 
-        This is what every Table 1/Table 2 calibration uses; the
-        determinism goldens pin its uncoalesced event order.
+        This is what every Table 1/Table 2 calibration uses.
         """
-        return replace(
-            self,
-            chan_batch_window=1,
-            chan_window_adaptive=False,
-            link_coalesce_wakeups=False,
-        )
+        return replace(self, chan_batch_window=1, chan_window_adaptive=False)
 
     def adaptive(
         self,
@@ -391,7 +386,6 @@ class CostModel:
         rtt_alpha: float = 0.125,
         rtt_inflation: float = 2.0,
         pressure: float = 0.75,
-        coalesce_wakeups: bool = True,
     ) -> "CostModel":
         """A model with the AIMD adaptive batched window enabled.
 
@@ -417,7 +411,6 @@ class CostModel:
             chan_rtt_alpha=rtt_alpha,
             chan_rtt_inflation=rtt_inflation,
             chan_pressure_threshold=pressure,
-            link_coalesce_wakeups=coalesce_wakeups,
         )
 
     def scaled(self, factor: float) -> "CostModel":
@@ -427,20 +420,17 @@ class CostModel:
         counts, and the dimensionless adaptive-window ratios are left
         unchanged.
         """
-        dimensionless = {
-            "chan_window_ai",
-            "chan_window_md",
-            "chan_rtt_alpha",
-            "chan_rtt_inflation",
-            "chan_pressure_threshold",
-        }
-        times = {
-            name: getattr(self, name) * factor
-            for name, f in self.__dataclass_fields__.items()
-            if f.type == "float" and name not in dimensionless
-        }
+        times = {name: getattr(self, name) * factor for name in _TIME_FIELDS}
         return replace(self, **times)
 
+
+#: Every float *time* constant: what :meth:`CostModel.scaled` multiplies
+#: and ``__post_init__`` requires to be finite and non-negative.
+_TIME_FIELDS = tuple(
+    name
+    for name, f in CostModel.__dataclass_fields__.items()
+    if f.type == "float" and name not in _DIMENSIONLESS
+)
 
 #: The calibrated default model used by all benchmarks.
 DEFAULT_COSTS = CostModel()

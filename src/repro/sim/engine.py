@@ -4,56 +4,37 @@
 Occurrences are totally ordered by ``(time, priority, sequence)`` so
 that simultaneous occurrences are processed in a deterministic order and
 urgent occurrences (process interrupts) precede normal ones at the same
-instant.
+instant.  Priority and sequence are packed into one integer (priority
+times :data:`_PRIO_STRIDE` plus sequence), which is unique per
+occurrence.
 
-Fast path: the dominant scheduling operation is triggering an event with
-*zero* delay (``Event.succeed``/``fail``, process starts, interrupts).
-Those never need the binary heap -- at the moment they are scheduled
-they already sort after everything currently pending at the same
-``(time, priority)`` -- so they go onto plain FIFO lanes (one per
-priority) and only *delayed* occurrences pay the heap.  Because
-simulation time never moves backwards, each lane stays sorted by
-``(time, sequence)`` and a three-way head comparison reproduces the
-exact heap order bit-for-bit (pinned by ``tests/test_determinism.py``).
+Two kinds of queue hold pending occurrences:
 
-The delayed-occurrence queue is a *flat parallel-arrays* priority
-queue: scalar lists moved in lockstep instead of a single list of
-``(time, priority, seq, item)`` tuples.  ``_keys`` holds negated times,
-``_order`` the priority and sequence packed into one integer (priority
-times :data:`_PRIO_STRIDE` plus sequence -- lexicographic ``(priority,
-seq)`` order as a single C ``int`` compare), and ``_items`` the payload
-objects.  The arrays are kept sorted by *descending* ``(time, priority,
-seq)`` -- the minimum lives at the end -- so a pop is three O(1)
-``list.pop()`` calls and the head's sort key is readable as two scalar
-loads (no tuple indexing in the drain loop's merge).  Pushes locate
-their slot with one C ``bisect`` over ``_keys``: sequence numbers grow
-monotonically, so a new normal-priority entry always sorts *last* among
-equal ``(time, priority)`` keys, which in the descending layout is the
-leftmost slot of the equal-time run -- exactly where ``bisect_left``
-lands, no tie-break scan.  A hand-rolled parallel-array binary-heap
-sift was benchmarked first and lost by ~3x: interpreted sift loops
-cannot compete with C ``bisect`` + ``memmove`` at realistic queue
-depths (~100-200 pending occurrences).  Lazy-cancel compaction rewrites
-the arrays in place so drain-local bindings stay valid.
+* **Immediate lanes.**  The dominant scheduling operation is triggering
+  an event with *zero* delay (``Event.succeed``/``fail``, process
+  starts, interrupts).  At the moment such an occurrence is scheduled it
+  already sorts after everything pending at the same ``(time,
+  priority)``, so it goes onto a plain FIFO (one per priority).  Because
+  simulation time never moves backwards, each lane stays sorted by
+  ``(time, sequence)``.
+* **The heap.**  Delayed occurrences go onto one ``heapq`` list of
+  ``(time, order, item)`` tuples.  ``order`` is unique, so items are
+  never compared.
 
-The descending layout makes *near-term* pushes cheap (they land near
-the end, a short memmove) but *far-future* pushes expensive: a new
-global-maximum time lands at index 0 and memmoves all three arrays.
-That is exactly the retransmission-watchdog pattern (``call_later`` a
-long way out, ``cancel()`` on every ack), so entries scheduled at or
-beyond the current maximum go to a separate **far lane** instead: three
-parallel arrays sorted *ascending*, where a monotonically later arm is
-three O(1) ``append`` calls.  The invariant is that every far entry
-sorts strictly after every main entry in the global ``(time, priority,
-seq)`` order, so the main arrays always hold the minimum; whenever the
-main arrays empty (or a delayed urgent push would violate the
-invariant) the far lane is spliced back in one O(k) reversal.
+The drain loop merges the three heads under the global order, which
+reproduces a single all-heap engine bit-for-bit (pinned by
+``tests/test_determinism.py``).  A zero-delay trigger costs an append
+and a popleft on a lane instead of an O(log n) heap push and pop;
+whether that pays end to end is not settled (README "Performance").
+Cancellation is lazy -- a cancelled :class:`Handle` stays queued and is
+skipped when popped -- with compaction once cancelled entries dominate
+the heap.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
+from heapq import heapify, heappop, heappush
 from math import nextafter
 from typing import Any, Callable, Generator, Optional
 
@@ -70,13 +51,6 @@ _MIN_CANCELLED_TO_COMPACT = 64
 #: identically to the tuple ``(priority, seq)`` as long as sequence
 #: numbers stay below the stride -- far beyond any reachable run length.
 _PRIO_STRIDE = 1 << 62
-
-#: Main-queue size at which a push at/past the current maximum time
-#: starts using the far lane.  Below this an index-0 insert's memmove is
-#: cheaper than the far lane's append/merge bookkeeping (a tiny C
-#: memmove beats the extra Python branches); above it the O(n) memmove
-#: per push dominates and the far lane's O(1) appends win.
-_FAR_LANE_MIN = 128
 
 _INFINITY = float("inf")
 
@@ -116,7 +90,7 @@ class Handle:
             sim._cancelled = cancelled
             if (
                 cancelled > _MIN_CANCELLED_TO_COMPACT
-                and cancelled * 2 > len(sim._keys) + len(sim._far_keys)
+                and cancelled * 2 > len(sim._heap)
             ):
                 sim._compact()
 
@@ -138,12 +112,7 @@ class Simulator:
     __slots__ = (
         "_now",
         "_seq",
-        "_keys",
-        "_order",
-        "_items",
-        "_far_keys",
-        "_far_order",
-        "_far_items",
+        "_heap",
         "_imm_urgent",
         "_imm_normal",
         "_cancelled",
@@ -155,27 +124,10 @@ class Simulator:
     def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        #: Flat parallel-arrays queue for *delayed* occurrences, sorted by
-        #: descending ``(time, priority, seq)``: entry ``i`` has time
-        #: ``-_keys[i]``, packed priority+sequence ``_order[i]``, and
-        #: payload ``_items[i]`` (an Event or a Handle); the *minimum* is
-        #: the last entry.  All three move in lockstep under
-        #: :meth:`_heap_push`/:meth:`_heap_pop`; compaction rewrites them
-        #: in place (never rebinds) because :meth:`_drain` holds local
-        #: references.
-        self._keys: list[float] = []
-        self._order: list[int] = []
-        self._items: list[Any] = []
-        #: The far lane: delayed normal-priority occurrences scheduled at
-        #: or beyond the main arrays' maximum time.  Sorted *ascending* by
-        #: ``(time, seq)`` with times stored un-negated, so the common
-        #: monotone far-future arm (watchdog rearm) is three O(1) appends
-        #: instead of an ``insert(0)`` memmove of the whole main queue.
-        #: Invariant: every far entry sorts after every main entry in the
-        #: global ``(time, priority, seq)`` order (see :meth:`_merge_far`).
-        self._far_keys: list[float] = []
-        self._far_order: list[int] = []
-        self._far_items: list[Any] = []
+        #: ``heapq`` of ``(time, order, item)`` for *delayed* occurrences,
+        #: ``item`` an Event or a Handle.  Compaction rewrites it in place
+        #: (never rebinds) because :meth:`_drain` holds a local reference.
+        self._heap: list[tuple[float, int, Any]] = []
         #: FIFO lanes of (time, seq, item) for zero-delay occurrences,
         #: one per priority level.  Drained ahead of the heap whenever
         #: their head sorts first.  The normal lane may hold cancelled
@@ -202,105 +154,6 @@ class Simulator:
         """Current simulation time (microseconds)."""
         return self._now
 
-    # -- the flat queue ----------------------------------------------------
-    def _heap_push(self, time: float, prio: int, seq: int, item: Any) -> None:
-        """Insert one entry, moving all arrays in lockstep.
-
-        One C bisect over the negated-time keys finds the slot.  Sequence
-        numbers are handed out monotonically, so among entries with equal
-        ``(time, priority)`` the new one always pops *last* -- which in
-        the descending layout is the leftmost slot of the equal-time run,
-        exactly where ``bisect_left`` lands for a normal-priority push.
-        Urgent pushes (which sort before every normal entry at the same
-        time) walk right past equal-time entries with a greater packed
-        order; no caller schedules a *delayed* urgent occurrence today,
-        so the scan is cold.
-
-        An urgent push at or beyond the far lane's minimum time would
-        break the far invariant (an urgent entry at time ``t`` sorts
-        *before* a normal far entry at the same ``t``), so the far lane
-        is folded back into the main arrays first.  Cold for the same
-        reason the tie-break scan is.
-        """
-        far_keys = self._far_keys
-        if far_keys and time >= far_keys[0]:
-            self._merge_far()
-        keys = self._keys
-        key = -time
-        pos = bisect_left(keys, key)
-        order = prio * _PRIO_STRIDE + seq
-        if prio != NORMAL:
-            orders = self._order
-            n = len(keys)
-            while pos < n and keys[pos] == key and orders[pos] > order:
-                pos += 1
-        keys.insert(pos, key)
-        self._order.insert(pos, order)
-        self._items.insert(pos, item)
-
-    def _heap_pop(self) -> Any:
-        """Remove and return the minimum item: three O(1) end pops."""
-        self._keys.pop()
-        self._order.pop()
-        return self._items.pop()
-
-    def _push_far(self, time: float, order: int, item: Any) -> None:
-        """Slow-path insert for a normal delayed entry at/past the main max.
-
-        Called by the inlined push sites when ``-time <= _keys[0]`` (the
-        entry would land at index 0 of the main arrays, the worst-case
-        memmove) or when the main arrays are empty.  A new entry whose
-        time is at least the far maximum -- the monotone watchdog-rearm
-        pattern this lane exists for -- is three O(1) appends; anything
-        earlier takes one bisect over the (much shorter) far lane.
-        Sequence monotonicity makes ``bisect_right`` exact for ties, the
-        mirror of the ``bisect_left`` argument on the descending main
-        arrays.
-        """
-        far_keys = self._far_keys
-        if self._keys:
-            if not far_keys or time >= far_keys[-1]:
-                far_keys.append(time)
-                self._far_order.append(order)
-                self._far_items.append(item)
-            else:
-                pos = bisect_right(far_keys, time)
-                far_keys.insert(pos, time)
-                self._far_order.insert(pos, order)
-                self._far_items.insert(pos, item)
-            return
-        # Main arrays empty: nothing to memmove, so fold any far backlog
-        # back in and insert normally -- keeps the invariant that the
-        # main arrays hold the global minimum whenever they are nonempty.
-        if far_keys:
-            self._merge_far()
-        keys = self._keys
-        key = -time
-        pos = bisect_left(keys, key)
-        keys.insert(pos, key)
-        self._order.insert(pos, order)
-        self._items.insert(pos, item)
-
-    def _merge_far(self) -> None:
-        """Splice the far lane back into the main arrays, in place.
-
-        Every far entry sorts after every main entry (the lane's
-        invariant), so no element-wise merge is needed: the far lane
-        reversed is exactly the descending prefix of the combined queue.
-        The main arrays are extended via slice assignment (never rebound)
-        because :meth:`_drain` holds local references to them.
-        """
-        far_keys = self._far_keys
-        far_keys.reverse()
-        self._far_order.reverse()
-        self._far_items.reverse()
-        self._keys[:0] = [-t for t in far_keys]
-        self._order[:0] = self._far_order
-        self._items[:0] = self._far_items
-        del far_keys[:]
-        del self._far_order[:]
-        del self._far_items[:]
-
     # -- scheduling ----------------------------------------------------------
     def _schedule_event(self, event: Event, delay: float, priority: int) -> None:
         seq = self._seq
@@ -311,44 +164,15 @@ class Simulator:
                 self._imm_normal.append((self._now, seq, event))
             else:
                 self._imm_urgent.append((self._now, seq, event))
-        elif priority == NORMAL:
-            # :meth:`_heap_push` inlined for the hot delayed case
-            # (``Timeout``): one C bisect plus three C inserts, no extra
-            # Python frame.  Entries at or beyond the current maximum
-            # time (``key <= keys[0]``) would memmove the whole queue,
-            # so once the queue is ``_FAR_LANE_MIN`` deep they take the
-            # far lane; the dominant far case (in-order append) is
-            # inlined too, only the rare shapes pay the method call.
-            keys = self._keys
-            time = self._now + delay
-            key = -time
-            if keys:
-                far_keys = self._far_keys
-                if key > keys[0] or (
-                    not far_keys and len(keys) < _FAR_LANE_MIN
-                ):
-                    pos = bisect_left(keys, key)
-                    keys.insert(pos, key)
-                    self._order.insert(pos, _PRIO_STRIDE + seq)
-                    self._items.insert(pos, event)
-                elif not far_keys or time >= far_keys[-1]:
-                    far_keys.append(time)
-                    self._far_order.append(_PRIO_STRIDE + seq)
-                    self._far_items.append(event)
-                else:
-                    self._push_far(time, _PRIO_STRIDE + seq, event)
-            elif self._far_keys:
-                self._push_far(time, _PRIO_STRIDE + seq, event)
-            else:
-                keys.append(key)
-                self._order.append(_PRIO_STRIDE + seq)
-                self._items.append(event)
         else:
-            self._heap_push(self._now + delay, priority, seq, event)
+            heappush(
+                self._heap,
+                (self._now + delay, priority * _PRIO_STRIDE + seq, event),
+            )
 
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> Handle:
         """Run ``fn(*args)`` after ``delay``; returns a cancellable handle."""
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative delay: {delay}")
         now = self._now
         time = now + delay
@@ -369,66 +193,24 @@ class Simulator:
             # pop paths skip it if it is cancelled before it runs.
             self._imm_normal.append((now, seq, handle))
         else:
-            # :meth:`_heap_push` inlined, as in :meth:`_schedule_event`.
-            # Far-future arms on a deep queue (watchdogs) go to the far
-            # lane: O(1) appends instead of an index-0 memmove per rearm.
-            keys = self._keys
-            key = -time
-            if keys:
-                far_keys = self._far_keys
-                if key > keys[0] or (
-                    not far_keys and len(keys) < _FAR_LANE_MIN
-                ):
-                    pos = bisect_left(keys, key)
-                    keys.insert(pos, key)
-                    self._order.insert(pos, _PRIO_STRIDE + seq)
-                    self._items.insert(pos, handle)
-                elif not far_keys or time >= far_keys[-1]:
-                    far_keys.append(time)
-                    self._far_order.append(_PRIO_STRIDE + seq)
-                    self._far_items.append(handle)
-                else:
-                    self._push_far(time, _PRIO_STRIDE + seq, handle)
-            elif self._far_keys:
-                self._push_far(time, _PRIO_STRIDE + seq, handle)
-            else:
-                keys.append(key)
-                self._order.append(_PRIO_STRIDE + seq)
-                self._items.append(handle)
+            heappush(self._heap, (time, _PRIO_STRIDE + seq, handle))
         return handle
 
     def _compact(self) -> None:
         """Drop every cancelled entry and recount ``_cancelled`` exactly.
 
-        The three queue arrays are rewritten *in place* (slice
-        assignment, never rebinding) because the drain loop in
-        :meth:`run` holds local references to them.  Filtering preserves
-        the sorted layout, so the pop order of the survivors is
-        unchanged.  The normal immediate lane is purged too: zero-delay
-        handles live there, and leaving cancelled ones uncounted would
-        let ``_cancelled`` drift from reality (going negative defers
-        every future compaction -- see
+        The heap is rewritten *in place* (slice assignment, never
+        rebinding) because the drain loop in :meth:`run` holds a local
+        reference to it.  Keys are unique, so re-heapifying the survivors
+        leaves their pop order unchanged.  The normal immediate lane is
+        purged too: zero-delay handles live there, and leaving cancelled
+        ones uncounted would let ``_cancelled`` drift from reality (going
+        negative defers every future compaction -- see
         ``test_cancelled_counter_invariant``).
         """
-        live = [
-            entry
-            for entry in zip(self._keys, self._order, self._items)
-            if not entry[2].cancelled
-        ]
-        self._keys[:] = [entry[0] for entry in live]
-        self._order[:] = [entry[1] for entry in live]
-        self._items[:] = [entry[2] for entry in live]
-        # The far lane is where watchdog arms live, so under
-        # ``call_later(big).cancel()`` churn most cancelled entries are
-        # *here* -- filter it the same way.
-        far_live = [
-            entry
-            for entry in zip(self._far_keys, self._far_order, self._far_items)
-            if not entry[2].cancelled
-        ]
-        self._far_keys[:] = [entry[0] for entry in far_live]
-        self._far_order[:] = [entry[1] for entry in far_live]
-        self._far_items[:] = [entry[2] for entry in far_live]
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapify(heap)
         normal = self._imm_normal
         if normal:
             kept = [entry for entry in normal if not entry[2].cancelled]
@@ -450,7 +232,7 @@ class Simulator:
         # timeout is created per wire transfer and watchdog arm.  The
         # Timeout class itself keeps a working constructor for direct
         # construction.
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError(f"negative timeout delay: {delay}")
         event = Timeout.__new__(Timeout)
         event.sim = self
@@ -464,30 +246,7 @@ class Simulator:
         if delay == 0.0:
             self._imm_normal.append((self._now, seq, event))
         else:
-            keys = self._keys
-            time = self._now + delay
-            key = -time
-            if keys:
-                far_keys = self._far_keys
-                if key > keys[0] or (
-                    not far_keys and len(keys) < _FAR_LANE_MIN
-                ):
-                    pos = bisect_left(keys, key)
-                    keys.insert(pos, key)
-                    self._order.insert(pos, _PRIO_STRIDE + seq)
-                    self._items.insert(pos, event)
-                elif not far_keys or time >= far_keys[-1]:
-                    far_keys.append(time)
-                    self._far_order.append(_PRIO_STRIDE + seq)
-                    self._far_items.append(event)
-                else:
-                    self._push_far(time, _PRIO_STRIDE + seq, event)
-            elif self._far_keys:
-                self._push_far(time, _PRIO_STRIDE + seq, event)
-            else:
-                keys.append(key)
-                self._order.append(_PRIO_STRIDE + seq)
-                self._items.append(event)
+            heappush(self._heap, (self._now + delay, _PRIO_STRIDE + seq, event))
         return event
 
     def process(self, generator: Generator) -> "Process":
@@ -495,59 +254,41 @@ class Simulator:
         return Process(self, generator)
 
     # -- execution -------------------------------------------------------------
-    def peek(self) -> float:
-        """Time of the next occurrence, or ``inf`` if the queue is empty."""
-        keys = self._keys
-        items = self._items
-        while True:
-            while items and items[-1].cancelled:
-                self._heap_pop()
-                if self._cancelled > 0:
-                    self._cancelled -= 1
-            if keys or not self._far_keys:
-                break
-            self._merge_far()
-        time = -keys[-1] if keys else _INFINITY
-        if self._imm_urgent:
-            t = self._imm_urgent[0][0]
-            if t < time:
-                time = t
+    def _skip_cancelled_heads(self) -> None:
+        """Pop cancelled handles off the heap and normal-lane heads."""
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+            if self._cancelled > 0:
+                self._cancelled -= 1
         normal = self._imm_normal
         while normal and normal[0][2].cancelled:
             normal.popleft()
             if self._cancelled > 0:
                 self._cancelled -= 1
-        if normal:
-            t = normal[0][0]
-            if t < time:
-                time = t
+
+    def peek(self) -> float:
+        """Time of the next occurrence, or ``inf`` if the queue is empty."""
+        self._skip_cancelled_heads()
+        time = self._heap[0][0] if self._heap else _INFINITY
+        for lane in (self._imm_urgent, self._imm_normal):
+            if lane and lane[0][0] < time:
+                time = lane[0][0]
         return time
 
-    def _pop_next(self, deadline: float = _INFINITY) -> Optional[Any]:
+    def _pop_next(self) -> Any:
         """Remove and return the next occurrence, advancing the clock.
 
-        The three lane heads (urgent FIFO, normal FIFO, heap) are
+        The three queue heads (urgent FIFO, normal FIFO, heap) are
         compared under the global ``(time, priority, seq)`` order; the
-        winner is popped.  Every branch carries the *full* key forward
-        -- the time plus the packed ``(priority, seq)`` order -- so the
-        merge stays correct no matter which lane is examined first.
-        Returns ``None`` -- popping nothing -- when the next occurrence
-        lies beyond ``deadline``; raises :class:`EmptySchedule` when
-        nothing is pending at all.
+        winner is popped.  Raises :class:`EmptySchedule` when nothing is
+        pending at all.
         """
-        items = self._items
-        while True:
-            while items and items[-1].cancelled:
-                self._heap_pop()
-                if self._cancelled > 0:
-                    self._cancelled -= 1
-            if items or not self._far_keys:
-                break
-            self._merge_far()
+        self._skip_cancelled_heads()
+        heap = self._heap
         lane = -1
-        if items:
-            best_time = -self._keys[-1]
-            best_order = self._order[-1]
+        if heap:
+            best_time, best_order, _ = heap[0]
             lane = 0
         urgent = self._imm_urgent
         if urgent:
@@ -557,10 +298,6 @@ class Simulator:
                 best_time, best_order = time, seq
                 lane = 1
         normal = self._imm_normal
-        while normal and normal[0][2].cancelled:
-            normal.popleft()
-            if self._cancelled > 0:
-                self._cancelled -= 1
         if normal:
             time, seq, _ = normal[0]
             order = _PRIO_STRIDE + seq  # NORMAL == 1
@@ -569,15 +306,13 @@ class Simulator:
                 lane = 2
         if lane < 0:
             raise EmptySchedule()
-        if best_time > deadline:
-            return None
         self._now = best_time
         self.processed += 1
         if lane == 2:
             return normal.popleft()[2]
         if lane == 1:
             return urgent.popleft()[2]
-        return self._heap_pop()
+        return heappop(heap)[2]
 
     def step(self) -> None:
         """Process exactly one occurrence."""
@@ -591,47 +326,29 @@ class Simulator:
         This is :meth:`_pop_next` inlined into the loop with every queue
         bound to a local -- the single hottest function in the repository,
         so it trades a little repetition for one frame (and several
-        attribute loads) less per processed occurrence.  The flat heap's
-        head key is read as two scalar loads; no tuple is built or
-        compared anywhere in the merge (the packed order makes the
-        priority tie-break a single int compare).
+        attribute loads) less per processed occurrence.
         """
-        keys = self._keys
-        order = self._order
-        items = self._items
+        heap = self._heap
         urgent = self._imm_urgent
         normal = self._imm_normal
         urgent_popleft = urgent.popleft
         normal_popleft = normal.popleft
-        # :meth:`_heap_pop` inlined as three bound C pops.  Compaction
-        # rewrites the arrays in place (slice assignment), so these bound
-        # methods keep pointing at the live arrays.
-        keys_pop = keys.pop
-        order_pop = order.pop
-        items_pop = items.pop
         stride = _PRIO_STRIDE
         processed = 0
         try:
             while True:
                 if stop is not None and stop.callbacks is None:
                     return
-                if keys:
-                    if items[-1].cancelled:
-                        keys_pop()
-                        order_pop()
-                        items_pop()
+                if heap:
+                    head = heap[0]
+                    if head[2].cancelled:
+                        heappop(heap)
                         if self._cancelled > 0:
                             self._cancelled -= 1
                         continue
-                    best_time = -keys[-1]
-                    best_order = order[-1]
+                    best_time = head[0]
+                    best_order = head[1]
                     lane = 0
-                elif self._far_keys:
-                    # Main arrays drained: fold the far lane back in
-                    # (in place -- the local bindings stay valid) and
-                    # re-run the merge with a nonempty heap.
-                    self._merge_far()
-                    continue
                 else:
                     lane = -1
                 if urgent:
@@ -672,9 +389,7 @@ class Simulator:
                 elif lane == 1:
                     item = urgent_popleft()[2]
                 else:
-                    keys_pop()
-                    order_pop()
-                    item = items_pop()
+                    item = heappop(heap)[2]
                 item._process()
         finally:
             self.processed += processed

@@ -217,37 +217,6 @@ class Store:
             return True, item
         return False, None
 
-    def get_with(self, semaphore: Semaphore) -> Optional[Event]:
-        """Fused fast path: one engine event for ``get`` + ``acquire``.
-
-        When an item is already queued *and* ``semaphore`` has a free
-        unit with no earlier waiter, both are taken synchronously and
-        the returned (already succeeded) event carries the item -- the
-        caller yields one engine event where the unfused
-        ``get()``-then-``acquire()`` sequence costs two wakeups plus a
-        generator resume between them.
-
-        Returns ``None`` when either side would block; the caller must
-        then fall back to the unfused sequence, which preserves FIFO
-        order on both queues.  Taking the semaphore through
-        :meth:`Semaphore.try_acquire` keeps the fairness guarantee: a
-        queued waiter always wins over the fused fast path.
-        """
-        if self._items and semaphore.try_acquire():
-            sim = self.sim
-            event = _new_event(Event)
-            event.sim = sim
-            event.callbacks = []
-            event._value = self._items.popleft()
-            event._ok = True
-            event._defused = False
-            sim._imm_normal.append((sim._now, sim._seq, event))
-            sim._seq += 1
-            if self._putters:
-                self._admit_putter()
-            return event
-        return None
-
     def _admit_putter(self) -> None:
         if self._putters and not self.is_full:
             event, item = self._putters.popleft()

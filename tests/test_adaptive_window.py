@@ -239,6 +239,15 @@ def test_adaptive_knob_validation():
         CostModel().adaptive(window_min=4, window_max=2)
     with pytest.raises(ValueError, match="chan_window_min"):
         CostModel().adaptive(window_min=0)
+    # Every time constant must be finite and non-negative, named.
+    with pytest.raises(ValueError, match="chan_send_kernel"):
+        CostModel(chan_send_kernel=float("nan"))
+    with pytest.raises(ValueError, match="syscall_overhead"):
+        CostModel(syscall_overhead=float("inf"))
+    with pytest.raises(ValueError, match="hpc_hop_latency"):
+        CostModel(hpc_hop_latency=-1.0)
+    with pytest.raises(ValueError, match="copy_per_byte"):
+        CostModel().scaled(-1.0)
 
 
 def test_scaled_leaves_adaptive_ratios_alone():

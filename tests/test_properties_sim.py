@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the DES engine invariants."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import CPU, Simulator, Store, Semaphore
 from repro.sim.trace import Category, Timeline
@@ -164,26 +164,41 @@ def test_timeline_breakdown_sums_to_window(busy, window):
     assert all(v >= -1e-9 for v in breakdown.values())
 
 
-# ---------------------------------------------------------- flat event queue
+# ---------------------------------------------------------------- event queue
+@settings(max_examples=30)  # each example is 129+ entries: generation dominates
 @given(entries=st.lists(
-    st.tuples(st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-              st.sampled_from([0, 1])),  # URGENT, NORMAL
-    min_size=1, max_size=80))
+    st.tuples(st.one_of(st.sampled_from([0.0, 1.0, 2.0]),
+                        st.floats(min_value=0.0, max_value=100.0,
+                                  allow_nan=False)),
+              # Half cancelled handles, so compaction runs mid-schedule.
+              st.one_of(st.just("cancelled"),
+                        st.sampled_from(["urgent", "normal", "handle"]))),
+    min_size=129, max_size=200))
 def test_flat_queue_matches_heapq_order(entries):
-    """Differential test: the flat parallel-arrays queue plus the
-    immediate lanes must process occurrences in exactly the order a
-    reference ``heapq`` of ``(time, priority, seq)`` tuples yields."""
+    """Differential test: the heap plus the immediate lanes must process
+    occurrences in exactly the order a reference ``heapq`` of ``(time,
+    priority, seq)`` tuples yields, and cancelled ``call_later`` handles
+    (lazily skipped or compacted away) must never run."""
     import heapq
+
+    from repro.sim.events import NORMAL, URGENT
 
     sim = Simulator()
     log = []
     reference = []
-    for seq, (delay, priority) in enumerate(entries):
-        event = sim.event()
-        event._ok = True
+    for seq, (delay, kind) in enumerate(entries):
+        priority = URGENT if kind == "urgent" else NORMAL
         label = (delay, priority, seq)
-        event.callbacks.append(lambda _e, label=label: log.append(label))
-        sim._schedule_event(event, delay, priority)
+        if kind in ("handle", "cancelled"):
+            handle = sim.call_later(delay, log.append, label)
+            if kind == "cancelled":
+                handle.cancel()
+                continue
+        else:
+            event = sim.event()
+            event._ok = True
+            event.callbacks.append(lambda _e, label=label: log.append(label))
+            sim._schedule_event(event, delay, priority)
         heapq.heappush(reference, label)
     expected = [heapq.heappop(reference) for _ in range(len(reference))]
     sim.run()
@@ -213,15 +228,13 @@ def test_cancelled_counter_invariant(ops):
         else:
             expected += 1
         queued_cancelled = (
-            sum(1 for item in sim._items if item.cancelled)
-            + sum(1 for item in sim._far_items if item.cancelled)
+            sum(1 for entry in sim._heap if entry[2].cancelled)
             + sum(1 for entry in sim._imm_normal if entry[2].cancelled)
         )
         assert sim._cancelled == queued_cancelled
     sim._compact()
     assert sim._cancelled == 0
-    assert not any(item.cancelled for item in sim._items)
-    assert not any(item.cancelled for item in sim._far_items)
+    assert not any(entry[2].cancelled for entry in sim._heap)
     assert not any(entry[2].cancelled for entry in sim._imm_normal)
     sim.run()
     assert sim._cancelled == 0

@@ -24,8 +24,9 @@ def test_zero_duration_completes_immediately():
 def test_negative_duration_rejected():
     sim = Simulator()
     cpu = CPU(sim)
-    with pytest.raises(ValueError):
-        cpu.execute(-1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            cpu.execute(bad)
 
 
 def test_charges_serialize():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator, AnyOf, AllOf
-from repro.sim.engine import _FAR_LANE_MIN
+from repro.sim.events import Timeout
 
 
 def test_clock_starts_at_zero():
@@ -74,10 +74,15 @@ def test_call_later_cancel():
 
 def test_negative_delay_rejected():
     sim = Simulator()
-    with pytest.raises(ValueError):
-        sim.call_later(-1.0, lambda: None)
-    with pytest.raises(ValueError):
-        sim.timeout(-1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            sim.call_later(bad, lambda: None)
+        with pytest.raises(ValueError):
+            sim.timeout(bad)
+        with pytest.raises(ValueError):
+            Timeout(sim, bad)
+    assert sim.now == 0.0
+    assert sim.peek() == float("inf")  # nothing was queued
 
 
 def test_event_succeed_value():
@@ -213,90 +218,52 @@ def test_lazy_cancel_churn_keeps_heap_compact():
     peak = 0
     for _ in range(10_000):
         sim.call_later(1_000.0, lambda: None).cancel()
-        peak = max(peak, len(sim._keys) + len(sim._far_keys))
+        peak = max(peak, len(sim._heap))
     assert peak < 300  # bounded by the >50%-cancelled compaction trigger
-    assert len(sim._keys) + len(sim._far_keys) < 300
+    assert len(sim._heap) < 300
     sim.run()
     assert fired == [True]  # the live handle survived every compaction
     assert sim.now == 50_000.0
 
 
-def _seed_deep_queue(sim, n=_FAR_LANE_MIN):
-    """Arm ``n`` no-op timers so the queue is deep enough for the far
-    lane; below ``_FAR_LANE_MIN`` the engine prefers a plain insert (a
-    tiny memmove is cheaper than the lane bookkeeping)."""
-    for i in range(n):
+def _deep_queue(arms, depth=200):
+    """A simulator holding ``depth`` no-op timers at t = 1..depth plus
+    the labelled ``(delay, label)`` arms, and the log the arms append to."""
+    sim = Simulator()
+    log = []
+    for i in range(depth):
         sim.call_later(1.0 + i, lambda: None)
+    for delay, label in arms:
+        sim.call_later(delay, log.append, label)
+    return sim, log
 
 
-def test_far_lane_absorbs_far_future_arms():
-    """Watchdog-style arms at a deep queue's max time go to the far lane.
-
-    The descending main arrays would memmove the entire queue for every
-    new global-maximum time; the ascending far lane makes that pattern
-    three O(1) appends.  This pins the routing (so a refactor cannot
-    silently fall back to the memmove path) and the pop-time splice.
-    """
-    sim = Simulator()
-    fired = []
-    _seed_deep_queue(sim)
-    assert not sim._far_keys  # shallow pushes stayed in the main arrays
-    sim.call_later(1.5, fired.append, "near")
-    sim.call_later(1_000.0, fired.append, "far-a")
-    sim.call_later(2_000.0, fired.append, "far-b")
-    assert len(sim._keys) == _FAR_LANE_MIN + 1  # near stays in main
-    assert sim._far_keys == [1_000.0, 2_000.0]
+def test_deep_queue_orders_far_and_late_near_arms():
+    """Watchdog-style far-future arms on a deep queue pop in time order
+    whether they are armed in order or not, and a near arm made after
+    the queue has drained still beats the far arms left in it."""
+    sim, log = _deep_queue(
+        [(1.5, "near"), (1_000.0, "far-a"), (2_000.0, "far-b")]
+    )
     sim.run()
-    assert fired == ["near", "far-a", "far-b"]
-    assert not sim._far_keys
+    assert log == ["near", "far-a", "far-b"]
 
-
-def test_far_lane_splice_keeps_global_order():
-    """Pushes landing while the main arrays are empty fold the far lane
-    back in, so an earlier-time late push still fires first."""
-    sim = Simulator()
-    log = []
-
-    def proc():
-        yield sim.timeout(200.0)  # outlives every seed arm
-        # Main arrays are empty now; the far lane held t=500/900.
-        # A new near-term arm must still beat both.
-        sim.call_later(10.0, log.append, "near-late")
-
-    _seed_deep_queue(sim)
-    sim.call_later(500.0, log.append, "far-early")
-    sim.call_later(900.0, log.append, "far-late")
-    sim.process(proc())
-    assert sim._far_keys == [500.0, 900.0]
-    sim.run()
-    assert log == ["near-late", "far-early", "far-late"]
-
-
-def test_far_lane_out_of_order_arm_inserts_sorted():
-    sim = Simulator()
-    log = []
-    _seed_deep_queue(sim)
-    sim.call_later(1.5, log.append, "near")
-    sim.call_later(3_000.0, log.append, "c")
-    sim.call_later(1_000.0, log.append, "a")  # bisect into the far lane
-    sim.call_later(2_000.0, log.append, "b")
-    assert sim._far_keys == [1_000.0, 2_000.0, 3_000.0]
+    sim, log = _deep_queue(
+        [(1.5, "near"), (3_000.0, "c"), (1_000.0, "a"), (2_000.0, "b")]
+    )
     sim.run()
     assert log == ["near", "a", "b", "c"]
 
+    sim, log = _deep_queue([(500.0, "far-early"), (900.0, "far-late")])
 
-def test_shallow_queue_skips_far_lane_and_stays_ordered():
-    """Below the depth threshold every arm lands in the main arrays and
-    ordering still holds -- the pre-far-lane behaviour."""
-    sim = Simulator()
-    log = []
-    sim.call_later(1.0, log.append, "near")
-    sim.call_later(2_000.0, log.append, "far-b")
-    sim.call_later(1_000.0, log.append, "far-a")
-    assert not sim._far_keys
-    assert len(sim._keys) == 3
+    def proc():
+        yield sim.timeout(300.0)  # outlives every seed timer
+        sim.call_later(10.0, log.append, "near-late")
+
+    sim.process(proc())
     sim.run()
-    assert log == ["near", "far-a", "far-b"]
+    assert log == ["near-late", "far-early", "far-late"]
+    assert sim.now == 900.0
 
 
 def test_compaction_preserves_order_among_survivors():
@@ -368,7 +335,7 @@ def test_zero_delay_call_later_uses_immediate_lane():
     sim = Simulator()
     fired = []
     sim.call_later(0.0, fired.append, "x")
-    assert not sim._keys  # no heap traffic for a zero-delay callback
+    assert not sim._heap  # no heap traffic for a zero-delay callback
     assert sim._imm_normal
     sim.run()
     assert fired == ["x"]
