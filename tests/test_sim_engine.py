@@ -238,22 +238,26 @@ def _deep_queue(arms, depth=200):
     return sim, log
 
 
-def test_deep_queue_orders_far_and_late_near_arms():
-    """Watchdog-style far-future arms on a deep queue pop in time order
-    whether they are armed in order or not, and a near arm made after
-    the queue has drained still beats the far arms left in it."""
+# The next four tests keep the names of the far-lane engine's routing
+# tests; the lane is gone, and each now checks its ordering case on the
+# single heap.
+
+
+def test_far_lane_absorbs_far_future_arms():
+    """Watchdog-style arms at a deep queue's max time pop in time order
+    after the near arm."""
     sim, log = _deep_queue(
         [(1.5, "near"), (1_000.0, "far-a"), (2_000.0, "far-b")]
     )
+    assert len(sim._heap) == 203
     sim.run()
     assert log == ["near", "far-a", "far-b"]
+    assert not sim._heap
 
-    sim, log = _deep_queue(
-        [(1.5, "near"), (3_000.0, "c"), (1_000.0, "a"), (2_000.0, "b")]
-    )
-    sim.run()
-    assert log == ["near", "a", "b", "c"]
 
+def test_far_lane_splice_keeps_global_order():
+    """A near arm made after the seed timers have drained still beats
+    the far arms left in the queue."""
     sim, log = _deep_queue([(500.0, "far-early"), (900.0, "far-late")])
 
     def proc():
@@ -264,6 +268,25 @@ def test_deep_queue_orders_far_and_late_near_arms():
     sim.run()
     assert log == ["near-late", "far-early", "far-late"]
     assert sim.now == 900.0
+
+
+def test_far_lane_out_of_order_arm_inserts_sorted():
+    """Far arms made out of time order on a deep queue pop sorted."""
+    sim, log = _deep_queue(
+        [(1.5, "near"), (3_000.0, "c"), (1_000.0, "a"), (2_000.0, "b")]
+    )
+    sim.run()
+    assert log == ["near", "a", "b", "c"]
+
+
+def test_shallow_queue_skips_far_lane_and_stays_ordered():
+    """Out-of-order arms on a three-entry queue pop in time order."""
+    sim, log = _deep_queue(
+        [(1.0, "near"), (2_000.0, "far-b"), (1_000.0, "far-a")], depth=0
+    )
+    assert len(sim._heap) == 3
+    sim.run()
+    assert log == ["near", "far-a", "far-b"]
 
 
 def test_compaction_preserves_order_among_survivors():
