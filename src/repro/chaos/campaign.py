@@ -21,15 +21,19 @@ does not supply one.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.chaos.shapes import FAULT_FREE, FaultRegime
 from repro.chaos.slo import SLO, SLOReport, SLOVerdict
 from repro.exp.experiment import RunResult, Scenario
-from repro.exp.runtable import RunTable
+from repro.exp.runtable import (
+    RunTable,
+    canonical_jsonl,
+    jsonl_digest,
+    validate_record,
+    write_lines,
+)
 from repro.fabric.registry import available_topologies, create_fabric
 from repro.model.costs import CostModel, DEFAULT_COSTS
 from repro.sim.engine import Simulator
@@ -66,32 +70,7 @@ CHAOS_ROW_FIELDS: dict[str, tuple] = {
 
 def validate_chaos_row(row: dict, where: str = "row") -> None:
     """Raise ``ValueError`` unless ``row`` matches the chaos/v1 schema."""
-    if not isinstance(row, dict):
-        raise ValueError(f"{where}: not a JSON object")
-    if row.get("schema") != CHAOS_SCHEMA:
-        raise ValueError(
-            f"{where}: schema is {row.get('schema')!r}, want "
-            f"{CHAOS_SCHEMA!r}"
-        )
-    for key, types in CHAOS_ROW_FIELDS.items():
-        if key not in row:
-            raise ValueError(f"{where}: missing field {key!r}")
-        value = row[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(
-                f"{where}: field {key!r} has type "
-                f"{type(value).__name__}, want "
-                f"{'/'.join(t.__name__ for t in types)}"
-            )
-    if row["offered"] < row["completed"]:
-        raise ValueError(
-            f"{where}: completed ({row['completed']}) exceeds offered "
-            f"({row['offered']})"
-        )
-    if not 0.0 <= row["failure_rate"] <= 1.0:
-        raise ValueError(
-            f"{where}: failure_rate {row['failure_rate']} outside [0, 1]"
-        )
+    validate_record(row, CHAOS_SCHEMA, CHAOS_ROW_FIELDS, where)
 
 
 @dataclass(frozen=True)
@@ -224,25 +203,14 @@ class ChaosResult:
 
     def jsonl(self) -> list[str]:
         """Canonical JSONL lines (sorted keys, compact separators)."""
-        return [
-            json.dumps(row, sort_keys=True, separators=(",", ":"))
-            for row in self.rows()
-        ]
+        return canonical_jsonl(self.rows())
 
     def digest(self) -> str:
         """sha256 over the canonical JSONL -- the determinism anchor."""
-        digest = hashlib.sha256()
-        for line in self.jsonl():
-            digest.update(line.encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
+        return jsonl_digest(self.jsonl())
 
     def write_jsonl(self, path) -> int:
-        lines = self.jsonl()
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        return len(lines)
+        return write_lines(path, self.jsonl())
 
     # -- judgement --------------------------------------------------------
     def slo_report(self) -> SLOReport:

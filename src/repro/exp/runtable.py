@@ -59,15 +59,20 @@ ROW_FIELDS: dict[str, tuple] = {
 }
 
 
-def validate_row(row: dict, where: str = "row") -> None:
-    """Raise ``ValueError`` unless ``row`` matches the runtable/v1 schema."""
+def validate_record(
+    row: dict, schema: str, fields: dict[str, tuple], where: str = "row"
+) -> None:
+    """Raise ``ValueError`` unless ``row`` carries ``schema`` and every
+    key of ``fields`` with an accepted type, ``completed <= offered``
+    and a ``failure_rate`` in [0, 1] (the shared rules of the
+    ``runtable/v1`` and ``chaos/v1`` row schemas)."""
     if not isinstance(row, dict):
         raise ValueError(f"{where}: not a JSON object")
-    if row.get("schema") != ROW_SCHEMA:
+    if row.get("schema") != schema:
         raise ValueError(
-            f"{where}: schema is {row.get('schema')!r}, want {ROW_SCHEMA!r}"
+            f"{where}: schema is {row.get('schema')!r}, want {schema!r}"
         )
-    for key, types in ROW_FIELDS.items():
+    for key, types in fields.items():
         if key not in row:
             raise ValueError(f"{where}: missing field {key!r}")
         value = row[key]
@@ -93,6 +98,40 @@ def validate_row(row: dict, where: str = "row") -> None:
         )
 
 
+def validate_row(row: dict, where: str = "row") -> None:
+    """Raise ``ValueError`` unless ``row`` matches the runtable/v1 schema."""
+    validate_record(row, ROW_SCHEMA, ROW_FIELDS, where)
+
+
+def canonical_jsonl(rows: Sequence[dict]) -> list[str]:
+    """Canonical JSONL lines (sorted keys, compact separators).
+
+    The lines are byte-identical across runs and machines, so their
+    sha256 (:func:`jsonl_digest`) is a determinism anchor.
+    """
+    return [
+        json.dumps(row, sort_keys=True, separators=(",", ":"))
+        for row in rows
+    ]
+
+
+def jsonl_digest(lines: Sequence[str]) -> str:
+    """sha256 over JSONL lines, each terminated by a newline."""
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update(line.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def write_lines(path, lines: Sequence[str]) -> int:
+    """Write ``lines`` to ``path``, one per line; returns the count."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+    return len(lines)
+
+
 class RunTableResult:
     """Everything a run-table sweep produced."""
 
@@ -114,25 +153,14 @@ class RunTableResult:
 
     def jsonl(self) -> list[str]:
         """Canonical JSONL lines (sorted keys, compact separators)."""
-        return [
-            json.dumps(row, sort_keys=True, separators=(",", ":"))
-            for row in self.rows()
-        ]
+        return canonical_jsonl(self.rows())
 
     def digest(self) -> str:
         """sha256 over the canonical JSONL -- the determinism anchor."""
-        digest = hashlib.sha256()
-        for line in self.jsonl():
-            digest.update(line.encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
+        return jsonl_digest(self.jsonl())
 
     def write_jsonl(self, path) -> int:
-        lines = self.jsonl()
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        return len(lines)
+        return write_lines(path, self.jsonl())
 
     # -- human-readable summary ------------------------------------------
     def summary(self) -> str:

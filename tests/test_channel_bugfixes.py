@@ -1,7 +1,8 @@
 """Regression tests for the channel-protocol fixes that rode along with
 the vstat instrumentation: fragment-consistent cdb counters, safe close of
-an unpaired endpoint, duplicate-endpoint read_any, and the stop-and-wait
-recovery paths (peer close mid-write, side-buffer-full retransmission)."""
+an unpaired endpoint, duplicate-endpoint read_any, the stop-and-wait
+recovery paths (peer close mid-write, side-buffer-full retransmission),
+and one timeout watchdog per flight of in-flight fragments."""
 
 import dataclasses
 
@@ -126,7 +127,7 @@ def test_peer_close_during_fragmented_write_clears_unacked():
     system.run()
     assert tx.result == "closed-out"
     endpoint = endpoints["tx"]
-    assert endpoint.unacked is None
+    assert not endpoint.window
     assert endpoint.writer_event is None
     assert system.nodes[1].metrics.value("chan.naks") >= 1
 
@@ -317,3 +318,58 @@ def test_crash_armed_watchdog_keeps_fault_free_timing_bit_identical():
     assert node0.value("chan.retransmits") == 0
     node1 = system.sim.vstat.registry("node1")
     assert node1.value("chan.duplicate_drops") == 0
+
+
+def test_back_to_back_lossy_batched_writes_do_not_pile_up_watchdogs():
+    """Regression: the batched watchdog used to exit only once *no* write
+    was active on its endpoint, so under a lossy plan back-to-back
+    batched writes each left theirs running (27 alive at once over 40
+    writes), and every one re-sent the same oldest fragment.  A watchdog
+    now serves one flight (window non-empty span) and exits when it
+    drains: at most the draining flight's and the next one's are alive
+    together."""
+    from repro import FaultPlan
+    from repro.sim.engine import Simulator
+
+    live: dict[int, list] = {}
+    peak = [0]
+    spawn = Simulator.process
+
+    def counting_process(sim, generator):
+        proc = spawn(sim, generator)
+        if "watchdog" in proc.name:
+            eid = generator.gi_frame.f_locals["endpoint"].eid
+            alive = [p for p in live.get(eid, []) if p.is_alive] + [proc]
+            live[eid] = alive
+            peak[0] = max(peak[0], len(alive))
+        return proc
+
+    plan = FaultPlan(seed=3, drop=0.01, channel_retry_timeout_us=2000.0)
+    system = VorxSystem(n_nodes=2, costs=DEFAULT_COSTS, faults=plan)
+
+    def writer(env):
+        ch = yield from env.open("bulk")
+        for i in range(40):
+            yield from env.write(ch, 16 * 1024, payload=i)
+
+    def reader(env):
+        ch = yield from env.open("bulk")
+        got = []
+        while len(got) < 40:
+            _, payload = yield from env.read(ch)
+            if payload is not None:
+                got.append(payload)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulator, "process", counting_process)
+        system.spawn(0, writer)
+        rx = system.spawn(1, reader)
+        system.run()
+    assert rx.result == list(range(40))
+    assert live, "the lossy plan armed no watchdog"
+    assert peak[0] <= 2
+    # One watchdog per flight re-sends each stale fragment once per
+    # period, not once per leaked watchdog.
+    node0 = system.sim.vstat.registry("node0")
+    assert node0.value("chan.timeout_retransmits") < 400
